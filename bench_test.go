@@ -16,6 +16,7 @@ import (
 	"reclose/internal/cfg"
 	"reclose/internal/codegen"
 	"reclose/internal/core"
+	"reclose/internal/dataflow"
 	"reclose/internal/explore"
 	"reclose/internal/fiveess"
 	"reclose/internal/interp"
@@ -527,21 +528,26 @@ func BenchmarkForkVsReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyze measures the dataflow analysis alone.
+// BenchmarkAnalyze measures the dataflow analysis alone, per shape. The
+// visits/node metric is the reaching-definitions solver's work per CFG
+// node; it stays flat as N grows.
 func BenchmarkAnalyze(b *testing.B) {
-	for _, n := range []int{1000, 5000} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			unit, err := core.CompileSource(synth.Program(synth.Branchy, n))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Close(unit); err != nil {
+	for _, shape := range []synth.Shape{synth.StraightLine, synth.Branchy, synth.Loopy, synth.ManyProcs} {
+		for _, n := range []int{1000, 5000} {
+			b.Run(fmt.Sprintf("%s/N=%d", shape, n), func(b *testing.B) {
+				unit, err := core.CompileSource(synth.Program(shape, n))
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				nodes, _ := unit.Size()
+				var res *dataflow.Result
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res = dataflow.Analyze(unit)
+				}
+				b.ReportMetric(float64(res.SolverVisits)/float64(nodes), "visits/node")
+			})
+		}
 	}
 }
 

@@ -13,10 +13,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"reclose/internal/cfg"
 	"reclose/internal/codegen"
@@ -24,34 +26,51 @@ import (
 	"reclose/internal/dataflow"
 )
 
-var (
-	dumpCFG      = flag.Bool("dump-cfg", false, "print the control-flow graphs of the open program and exit")
-	dumpAnalysis = flag.Bool("dump-analysis", false, "print the per-node V_I analysis and exit")
-	statsOnly    = flag.Bool("stats", false, "print only the transformation statistics")
-	quiet        = flag.Bool("q", false, "suppress the closed-program listing")
-	dot          = flag.Bool("dot", false, "emit Graphviz DOT instead of the plain listing")
-	emit         = flag.Bool("emit", false, "emit the closed program as re-parseable MiniC source (trampoline encoding)")
-	partition    = flag.Bool("partition", false, "partition comparison-only env inputs (S7 extension) before closing")
-)
-
-func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: reclose [flags] file.mc (use - for stdin)\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "reclose: %v\n", err)
-		os.Exit(1)
-	}
+// options are the command's flags.
+type options struct {
+	dumpCFG, dumpAnalysis, statsOnly, quiet, dot, emit, partition bool
 }
 
-func run() error {
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+func main() {
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// realMain runs the command with the given arguments and returns the
+// process exit code: 0 on success or -h, 1 on error, 2 on bad usage.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("reclose", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.BoolVar(&o.dumpCFG, "dump-cfg", false, "print the control-flow graphs of the open program and exit")
+	fs.BoolVar(&o.dumpAnalysis, "dump-analysis", false, "print the per-node V_I analysis and exit")
+	fs.BoolVar(&o.statsOnly, "stats", false, "print only the transformation statistics")
+	fs.BoolVar(&o.quiet, "q", false, "suppress the closed-program listing")
+	fs.BoolVar(&o.dot, "dot", false, "emit Graphviz DOT instead of the plain listing")
+	fs.BoolVar(&o.emit, "emit", false, "emit the closed program as re-parseable MiniC source (trampoline encoding)")
+	fs.BoolVar(&o.partition, "partition", false, "partition comparison-only env inputs (S7 extension) before closing")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: reclose [flags] file.mc (use - for stdin)\n")
+		fs.PrintDefaults()
 	}
-	src, err := readSource(flag.Arg(0))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	if err := run(fs.Arg(0), o, stdout); err != nil {
+		fmt.Fprintf(stderr, "reclose: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func run(path string, o options, w io.Writer) error {
+	src, err := readSource(path)
 	if err != nil {
 		return err
 	}
@@ -61,54 +80,54 @@ func run() error {
 		return err
 	}
 
-	if *dumpCFG {
-		if *dot {
-			fmt.Print(unit.Dot())
+	if o.dumpCFG {
+		if o.dot {
+			fmt.Fprint(w, unit.Dot())
 		} else {
-			fmt.Print(unit.String())
+			fmt.Fprint(w, unit.String())
 		}
 		return nil
 	}
-	if *dumpAnalysis {
+	if o.dumpAnalysis {
 		res := dataflow.Analyze(unit)
 		for _, name := range unit.Order {
-			fmt.Print(res.Proc(name).String())
+			fmt.Fprint(w, res.Proc(name).String())
 		}
-		printInterface(res)
+		printInterface(w, res)
 		return nil
 	}
 
 	var closed *cfg.Unit
 	var st *core.Stats
-	if *partition {
+	if o.partition {
 		var pst *core.PartitionStats
 		closed, st, pst, err = core.ClosePartitioned(unit)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("partitioning: %s\n", pst)
+		fmt.Fprintf(w, "partitioning: %s\n", pst)
 	} else {
 		closed, st, err = core.Close(unit)
 		if err != nil {
 			return err
 		}
 	}
-	if !*statsOnly && !*quiet {
+	if !o.statsOnly && !o.quiet {
 		switch {
-		case *emit:
+		case o.emit:
 			src, err := codegen.Emit(closed)
 			if err != nil {
 				return err
 			}
-			fmt.Print(src)
-		case *dot:
-			fmt.Print(closed.Dot())
+			fmt.Fprint(w, src)
+		case o.dot:
+			fmt.Fprint(w, closed.Dot())
 		default:
-			fmt.Print(closedHeader(closed))
-			fmt.Print(closed.String())
+			fmt.Fprint(w, closedHeader(closed))
+			fmt.Fprint(w, closed.String())
 		}
 	}
-	fmt.Printf("closing: %s\n", st)
+	fmt.Fprintf(w, "closing: %s\n", st)
 	return nil
 }
 
@@ -135,8 +154,10 @@ func closedHeader(u *cfg.Unit) string {
 	return out
 }
 
-func printInterface(res *dataflow.Result) {
-	fmt.Println("effective environment interface:")
+// printInterface prints the effective environment interface in a fixed
+// order: parameters by index, objects by name.
+func printInterface(w io.Writer, res *dataflow.Result) {
+	fmt.Fprintln(w, "effective environment interface:")
 	for _, name := range res.Unit.Order {
 		idx := res.EnvParams[name]
 		if len(idx) == 0 {
@@ -144,18 +165,19 @@ func printInterface(res *dataflow.Result) {
 		}
 		g := res.Unit.Procs[name]
 		var params []string
-		for i := range idx {
-			if i < len(g.Params) {
+		for i := range g.Params {
+			if idx[i] {
 				params = append(params, g.Params[i])
 			}
 		}
-		fmt.Printf("  %s: env params %v\n", name, params)
+		fmt.Fprintf(w, "  %s: env params %v\n", name, params)
 	}
 	var tainted []string
 	for o := range res.TaintedObjs {
 		tainted = append(tainted, o)
 	}
+	sort.Strings(tainted)
 	if len(tainted) > 0 {
-		fmt.Printf("  objects carrying env data: %v\n", tainted)
+		fmt.Fprintf(w, "  objects carrying env data: %v\n", tainted)
 	}
 }

@@ -2,6 +2,8 @@ package dataflow
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"reclose/internal/ast"
@@ -16,8 +18,16 @@ type Def struct {
 	Node   int    // defining node ID, or -1 for the entry pseudo-definition
 	Var    string // variable defined
 	Strong bool   // strong defs kill other defs of the same variable
-	Env    bool   // the defined value is provided by the environment E_S
+	// Env: the value may come from the environment E_S. Such a def labels
+	// no define-use arc, except at a call site, where the callee may
+	// store a system value too and the def stands for both.
+	Env  bool
+	call bool   // weak def of a variable a callee may write through pointers
+	src  string // object received from, or callee for call defs
 }
+
+// arc reports whether d labels define-use arcs to the uses it reaches.
+func (d *Def) arc() bool { return d.Node >= 0 && (d.call || !d.Env) }
 
 // DUArc is one arc of the define-use graph Ğ_j: the statement at node
 // From defines Var, and the statement at node To may use that value
@@ -102,37 +112,40 @@ type procContext struct {
 	taintedObjs map[string]bool
 }
 
-// analyzeProc runs the full per-procedure analysis of Step 2 of the
-// algorithm for graph g under the given interprocedural context.
-func analyzeProc(g *cfg.Graph, ctx *procContext) *ProcResult {
-	pt := AnalyzeAliases(g)
-	r := &ProcResult{
-		Proc:    g.ProcName,
-		Graph:   g,
-		Aliases: pt,
-		Uses:    make([]VarSet, len(g.Nodes)),
-		Defs:    make([][]*Def, len(g.Nodes)),
-		EnvUse:  make([]bool, len(g.Nodes)),
-		NI:      make([]bool, len(g.Nodes)),
-		VI:      make([]VarSet, len(g.Nodes)),
-	}
+// procReach is the part of one procedure's Step 2 analysis that no
+// interprocedural fact changes (the reach phase): aliases, uses, def
+// sites, and for every use the defs that reach it. Analyze computes it
+// once per procedure; each revisit re-runs only taint.
+type procReach struct {
+	g    *cfg.Graph
+	pt   *PointsTo
+	uses []VarSet
+	defs [][]*Def // defs generated at each node
+	all  []*Def   // every def by ID, the parameters' entry defs first
+	// reach[reachAt[n]:reachAt[n+1]] are the IDs of the defs reaching
+	// the uses of node n, in arc order: by variable, then ID.
+	reach   []int32
+	reachAt []int
+	visits  int // solver node visits
+}
 
-	var defs []*Def
-	newDef := func(node int, v string, strong, env bool) *Def {
-		d := &Def{ID: len(defs), Node: node, Var: v, Strong: strong, Env: env}
-		defs = append(defs, d)
-		return d
+// newProcReach runs the reach phase on g.
+func newProcReach(g *cfg.Graph, arrays map[string]bool) *procReach {
+	pt := AnalyzeAliases(g)
+	rp := &procReach{g: g, pt: pt, uses: make([]VarSet, len(g.Nodes)), defs: make([][]*Def, len(g.Nodes))}
+	newDef := func(d Def) {
+		d.ID = len(rp.all)
+		rp.all = append(rp.all, &d)
+		rp.defs[d.Node] = append(rp.defs[d.Node], &d)
 	}
 
 	// Entry pseudo-definitions: every parameter is defined before the
 	// start node executes — by the environment for env parameters, by
 	// the calling procedure otherwise.
-	entryDefs := make([]*Def, 0, len(g.Params))
 	for i, p := range g.Params {
-		entryDefs = append(entryDefs, newDef(-1, p, true, ctx.envParams[g.ProcName][i]))
+		rp.all = append(rp.all, &Def{ID: i, Node: -1, Var: p, Strong: true})
 	}
 
-	arrays := ctx.unit.Arrays[g.ProcName]
 	for _, n := range g.Nodes {
 		uses := NewVarSet()
 		switch n.Kind {
@@ -146,18 +159,17 @@ func analyzeProc(g *cfg.Graph, ctx *procContext) *ProcResult {
 			}
 			switch lhs := lhs.(type) {
 			case *ast.Ident:
-				strong := !arrays[lhs.Name]
-				r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, lhs.Name, strong, false))
+				newDef(Def{Node: n.ID, Var: lhs.Name, Strong: !arrays[lhs.Name]})
 			case *ast.IndexExpr:
 				addExprUses(lhs.Index, pt, uses)
-				r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, lhs.X.Name, false, false))
+				newDef(Def{Node: n.ID, Var: lhs.X.Name})
 			case *ast.UnaryExpr: // *p = rhs
 				if id, ok := lhs.X.(*ast.Ident); ok {
 					uses.Add(id.Name)
 					targets := pt.PointsToSet(id.Name)
 					strong := len(targets) == 1
 					for _, t := range targets.Sorted() {
-						r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, t, strong && !arrays[t], false))
+						newDef(Def{Node: n.ID, Var: t, Strong: strong && !arrays[t]})
 					}
 				}
 			}
@@ -173,18 +185,11 @@ func analyzeProc(g *cfg.Graph, ctx *procContext) *ProcResult {
 					}
 					if i == b.OutArg {
 						out := cs.Args[i].(*ast.Ident)
-						// recv on an env-facing channel yields a value
-						// provided by the environment; so does recv/vread
-						// on an object some process may fill with
-						// env-dependent data.
-						env := false
-						if b.HasObj {
-							if obj, ok := cs.Args[0].(*ast.Ident); ok &&
-								(ctx.unit.EnvChans[obj.Name] || ctx.taintedObjs[obj.Name]) {
-								env = true
-							}
+						d := Def{Node: n.ID, Var: out.Name, Strong: !arrays[out.Name]}
+						if obj, ok := cs.Args[0].(*ast.Ident); ok && b.HasObj {
+							d.src = obj.Name
 						}
-						r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, out.Name, !arrays[out.Name], env))
+						newDef(d)
 						continue
 					}
 					addExprUses(cs.Args[i], pt, uses)
@@ -203,173 +208,218 @@ func analyzeProc(g *cfg.Graph, ctx *procContext) *ProcResult {
 				// through pointers from the arguments.
 				reach := pt.Closure(argNames)
 				uses.AddAll(reach)
-				calleeEnv := ctx.envTainted[name]
 				for _, v := range reach.Sorted() {
-					r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, v, false, false))
-					if calleeEnv {
-						r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, v, false, true))
-					}
+					newDef(Def{Node: n.ID, Var: v, call: true, src: name})
 				}
 			}
 		}
-		r.Uses[n.ID] = uses
+		rp.uses[n.ID] = uses
+	}
+	rp.solve()
+	return rp
+}
+
+// defMask is the set of defs of one variable, over the words its def
+// IDs span: bit i of bits[w] is def (lo+w)*64+i.
+type defMask struct {
+	lo   int
+	bits []uint64
+}
+
+// solve computes reaching definitions and fills rp.reach. IN[n] is a
+// def bitset: the union over n's predecessors p of OUT[p] = (IN[p] &^
+// mask[v] for each v strongly defined at p) | gen[p], plus the entry
+// defs at the start node. A round-robin pass in reverse postorder
+// carries facts along every forward arc at once, so structured code
+// reaches the least fixpoint in one pass per loop level plus one that
+// changes nothing.
+func (rp *procReach) solve() {
+	g := rp.g
+	words := (len(rp.all) + 63) / 64
+	set := func(b []uint64, id int) { b[id/64] |= 1 << (id % 64) }
+	masks := make(map[string]*defMask)
+	for _, d := range rp.all { // IDs ascend, so bits only grows
+		if masks[d.Var] == nil {
+			masks[d.Var] = &defMask{lo: d.ID / 64}
+		}
+		m := masks[d.Var]
+		m.bits = append(m.bits, make([]uint64, d.ID/64-m.lo+1-len(m.bits))...)
+		set(m.bits, d.ID-m.lo*64)
 	}
 
-	// Reaching definitions over bitsets.
-	nd := len(defs)
-	words := (nd + 63) / 64
-	type bits []uint64
-	newBits := func() bits { return make(bits, words) }
-	or := func(dst, src bits) bool {
-		changed := false
-		for i := range dst {
-			if dst[i]|src[i] != dst[i] {
-				dst[i] |= src[i]
+	in := make([]uint64, len(g.Nodes)*words)
+	inOf := func(id int) []uint64 { return in[id*words : (id+1)*words] }
+	acc, out := make([]uint64, words), make([]uint64, words)
+	order := reversePostorder(g)
+	for changed := true; changed; {
+		changed = false
+		for _, n := range order {
+			rp.visits++
+			clear(acc)
+			if n == g.Entry {
+				for _, d := range rp.all[:len(g.Params)] {
+					set(acc, d.ID)
+				}
+			}
+			for _, a := range n.In {
+				copy(out, inOf(a.From.ID))
+				for _, d := range rp.defs[a.From.ID] {
+					if d.Strong {
+						m := masks[d.Var]
+						for w, b := range m.bits {
+							out[m.lo+w] &^= b
+						}
+					}
+				}
+				for _, d := range rp.defs[a.From.ID] {
+					set(out, d.ID)
+				}
+				for w, x := range out {
+					acc[w] |= x
+				}
+			}
+			if dst := inOf(n.ID); !slices.Equal(acc, dst) {
+				copy(dst, acc)
 				changed = true
 			}
 		}
-		return changed
 	}
 
-	defsByVar := make(map[string][]*Def)
-	for _, d := range defs {
-		defsByVar[d.Var] = append(defsByVar[d.Var], d)
-	}
-
-	gen := make([]bits, len(g.Nodes))
-	kill := make([]bits, len(g.Nodes))
+	// Ğ without the env classification: the defs of v reaching n are
+	// IN[n] & mask[v].
+	rp.reachAt = make([]int, 1, len(g.Nodes)+1)
 	for _, n := range g.Nodes {
-		gen[n.ID] = newBits()
-		kill[n.ID] = newBits()
-		for _, d := range r.Defs[n.ID] {
-			gen[n.ID][d.ID/64] |= 1 << (d.ID % 64)
-			if d.Strong {
-				for _, other := range defsByVar[d.Var] {
-					if other.ID != d.ID {
-						kill[n.ID][other.ID/64] |= 1 << (other.ID % 64)
+		for _, v := range rp.uses[n.ID].Sorted() {
+			if m := masks[v]; m != nil {
+				for w, b := range m.bits {
+					for x := inOf(n.ID)[m.lo+w] & b; x != 0; x &= x - 1 {
+						rp.reach = append(rp.reach, int32((m.lo+w)*64+bits.TrailingZeros64(x)))
 					}
 				}
 			}
 		}
+		rp.reachAt = append(rp.reachAt, len(rp.reach))
+	}
+}
+
+// reversePostorder returns g's nodes in reverse postorder of a
+// depth-first search from the entry, followed by the nodes the entry
+// does not reach, in ID order.
+func reversePostorder(g *cfg.Graph) []*cfg.Node {
+	seen := make([]bool, len(g.Nodes))
+	order := make([]*cfg.Node, 0, len(g.Nodes))
+	var visit func(n *cfg.Node)
+	visit = func(n *cfg.Node) {
+		seen[n.ID] = true
+		for _, a := range n.Out {
+			if !seen[a.To.ID] {
+				visit(a.To)
+			}
+		}
+		order = append(order, n)
+	}
+	visit(g.Entry)
+	slices.Reverse(order)
+	for _, n := range g.Nodes {
+		if !seen[n.ID] {
+			order = append(order, n)
+		}
+	}
+	return order
+}
+
+// taint runs the taint phase under the interprocedural facts of ctx:
+// it classifies the defs, then derives N_Es, Ğ, N_I and V_I from the
+// reach phase's result in time linear in its size.
+func (rp *procReach) taint(ctx *procContext) *ProcResult {
+	g := rp.g
+	for _, d := range rp.all {
+		switch {
+		case d.Node < 0: // entry defs come first: the ID is the parameter index
+			d.Env = ctx.envParams[g.ProcName][d.ID]
+		case d.call:
+			d.Env = ctx.envTainted[d.src]
+		case d.src != "":
+			// recv on an env-facing channel yields a value provided by
+			// the environment; so does recv/vread on an object some
+			// process may fill with env-dependent data.
+			d.Env = ctx.unit.EnvChans[d.src] || ctx.taintedObjs[d.src]
+		}
+	}
+	r := &ProcResult{
+		Proc:    g.ProcName,
+		Graph:   g,
+		Aliases: rp.pt,
+		Uses:    rp.uses,
+		Defs:    rp.defs,
+		EnvUse:  make([]bool, len(g.Nodes)),
+		NI:      make([]bool, len(g.Nodes)),
+		VI:      make([]VarSet, len(g.Nodes)),
 	}
 
-	in := make([]bits, len(g.Nodes))
-	out := make([]bits, len(g.Nodes))
+	addVI := func(id int, v string) {
+		if r.VI[id] == nil {
+			r.VI[id] = NewVarSet()
+		}
+		r.VI[id].Add(v)
+	}
+	// Ğ and N_Es. V_I starts as the env-defined uses: those nodes are in
+	// N_Es, hence in N_I.
+	arcs := 0
+	for _, id := range rp.reach {
+		if rp.all[id].arc() {
+			arcs++
+		}
+	}
+	if arcs > 0 {
+		r.DU = make([]DUArc, 0, arcs)
+	}
+	for n := range g.Nodes {
+		for _, id := range rp.reach[rp.reachAt[n]:rp.reachAt[n+1]] {
+			d := rp.all[id]
+			if d.Env {
+				r.EnvUse[n] = true
+				addVI(n, d.Var)
+			}
+			if d.arc() {
+				r.DU = append(r.DU, DUArc{From: d.Node, To: n, Var: d.Var})
+			}
+		}
+	}
+
+	// N_I: nodes reachable from N_Es by define-use arcs, over the arcs
+	// bucketed by source: succ[start[n]:start[n+1]].
+	start, succ := make([]int, len(g.Nodes)+1), make([]int, len(r.DU))
+	for _, a := range r.DU {
+		start[a.From]++
+	}
 	for i := range g.Nodes {
-		in[i] = newBits()
-		out[i] = newBits()
+		start[i+1] += start[i]
 	}
-	// The entry pseudo-definitions flow into the start node.
-	entryIn := newBits()
-	for _, d := range entryDefs {
-		entryIn[d.ID/64] |= 1 << (d.ID % 64)
+	for _, a := range r.DU {
+		start[a.From]--
+		succ[start[a.From]] = a.To
 	}
-
-	// Worklist iteration in reverse-postorder-ish (node creation order is
-	// roughly topological for structured code, so plain order converges
-	// quickly).
-	workQ := make([]int, 0, len(g.Nodes))
-	inQ := make([]bool, len(g.Nodes))
-	push := func(id int) {
-		if !inQ[id] {
-			inQ[id] = true
-			workQ = append(workQ, id)
-		}
-	}
-	for _, n := range g.Nodes {
-		push(n.ID)
-	}
-	for len(workQ) > 0 {
-		id := workQ[0]
-		workQ = workQ[1:]
-		inQ[id] = false
-		n := g.Nodes[id]
-		if n == g.Entry {
-			or(in[id], entryIn)
-		}
-		for _, a := range n.In {
-			or(in[id], out[a.From.ID])
-		}
-		// out = gen ∪ (in − kill)
-		changed := false
-		for w := 0; w < words; w++ {
-			nv := gen[id][w] | (in[id][w] &^ kill[id][w])
-			if nv != out[id][w] {
-				out[id][w] = nv
-				changed = true
-			}
-		}
-		if changed {
-			for _, a := range n.Out {
-				push(a.To.ID)
-			}
-		}
-	}
-
-	// Build the define-use graph and the env-use marking.
-	duInto := make([][]int, len(g.Nodes)) // DU arc indices by To
-	envReach := make([]VarSet, len(g.Nodes))
-	for _, n := range g.Nodes {
-		id := n.ID
-		envReach[id] = NewVarSet()
-		if len(r.Uses[id]) == 0 {
-			continue
-		}
-		for _, v := range r.Uses[id].Sorted() {
-			for _, d := range defsByVar[v] {
-				if in[id][d.ID/64]&(1<<(d.ID%64)) == 0 {
-					continue
-				}
-				if d.Env {
-					r.EnvUse[id] = true
-					envReach[id].Add(v)
-				}
-				if d.Node >= 0 && !d.Env {
-					arcIdx := len(r.DU)
-					r.DU = append(r.DU, DUArc{From: d.Node, To: id, Var: v})
-					duInto[id] = append(duInto[id], arcIdx)
-				}
-			}
-		}
-	}
-
-	// N_I: nodes reachable from N_Es by define-use arcs.
-	duFrom := make([][]int, len(g.Nodes))
-	for i, a := range r.DU {
-		duFrom[a.From] = append(duFrom[a.From], i)
-	}
-	var stack []int
-	for id := range g.Nodes {
-		if r.EnvUse[id] {
+	var mark func(id int)
+	mark = func(id int) {
+		if !r.NI[id] {
 			r.NI[id] = true
-			stack = append(stack, id)
+			for _, to := range succ[start[id]:start[id+1]] {
+				mark(to)
+			}
 		}
 	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ai := range duFrom[id] {
-			to := r.DU[ai].To
-			if !r.NI[to] {
-				r.NI[to] = true
-				stack = append(stack, to)
-			}
+	for id, env := range r.EnvUse {
+		if env {
+			mark(id)
 		}
 	}
 
-	// V_I(n).
-	for id := range g.Nodes {
-		vi := NewVarSet()
-		if r.NI[id] {
-			vi.AddAll(envReach[id])
-			for _, ai := range duInto[id] {
-				a := r.DU[ai]
-				if r.NI[a.From] {
-					vi.Add(a.Var)
-				}
-			}
+	// V_I(n) also holds the variables labeling arcs into n from N_I.
+	for _, a := range r.DU {
+		if r.NI[a.From] {
+			addVI(a.To, a.Var)
 		}
-		r.VI[id] = vi
 	}
 
 	// Detect stores through environment-dependent pointers (unsupported:

@@ -27,6 +27,9 @@ type Result struct {
 	// Iterations is the number of per-procedure analyses the worklist
 	// performed before reaching the fixpoint.
 	Iterations int
+	// SolverVisits is the number of node visits the reaching-definitions
+	// solver made, summed over the procedures.
+	SolverVisits int
 }
 
 // Proc returns the per-procedure result.
@@ -72,8 +75,10 @@ func (r *Result) Err() error {
 //     be written with environment-dependent values at the call site.
 //
 // The fixpoint is computed with a worklist: a procedure is re-analyzed
-// only when one of the facts it depends on grows. Termination: the sets
-// only grow and are bounded by the program size.
+// only when one of the facts it depends on grows, and then only its
+// taint phase re-runs; reaching definitions, which no fact changes, are
+// solved once. Termination: the sets only grow and are bounded by the
+// program size.
 func Analyze(u *cfg.Unit) *Result {
 	ctx := &procContext{
 		unit:        u,
@@ -112,6 +117,11 @@ func Analyze(u *cfg.Unit) *Result {
 	}
 
 	res := &Result{Unit: u, Procs: make(map[string]*ProcResult, len(u.Order))}
+	reach := make(map[string]*procReach, len(u.Order))
+	for _, name := range u.Order {
+		reach[name] = newProcReach(u.Procs[name], u.Arrays[name])
+		res.SolverVisits += reach[name].visits
+	}
 
 	inQ := make(map[string]bool, len(u.Order))
 	var queue []string
@@ -131,7 +141,7 @@ func Analyze(u *cfg.Unit) *Result {
 		inQ[name] = false
 		res.Iterations++
 
-		pr := analyzeProc(u.Procs[name], ctx)
+		pr := reach[name].taint(ctx)
 		res.Procs[name] = pr
 
 		// Fact 1: env-dependent arguments taint callee parameters.

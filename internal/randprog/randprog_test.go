@@ -2,6 +2,7 @@ package randprog_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"reclose/internal/core"
@@ -131,6 +132,85 @@ func TestPropertyTheorem6(t *testing.T) {
 	}
 	if checked < n/3 {
 		t.Errorf("only %d/%d seeds produced comparable trace sets; generator or bounds too tight", checked, n)
+	}
+}
+
+// TestPropertyTheorem7 is the preservation property on random
+// programs: every deadlock and every assertion violation the bounded
+// search of S × E_S (domain 2) finds is also found in the closed S'.
+// randprog's assertions are environment-independent by construction,
+// so Theorem 7 covers all of them. Seeds whose naive search is cut by
+// its budget prove nothing and are skipped, as are seeds whose closed
+// search is cut before it could match every incident.
+func TestPropertyTheorem7(t *testing.T) {
+	n := 100
+	if testing.Short() {
+		n = 10
+	}
+	const (
+		domain    = 2
+		maxDepth  = 48
+		maxStates = 300000
+		samples   = 1000
+	)
+	violations := func(rep *explore.Report) map[string]bool {
+		msgs := map[string]bool{}
+		for _, in := range rep.Samples {
+			if in.Kind == explore.LeafViolation {
+				// "VS_assert(ok3) at node n7 of main0": closing
+				// renumbers nodes, so keep the assertion and its proc.
+				assertion, rest, _ := strings.Cut(in.Msg, " at node ")
+				_, proc, _ := strings.Cut(rest, " of ")
+				msgs[assertion+" of "+proc] = true
+			}
+		}
+		return msgs
+	}
+	checked, incidents := 0, 0
+	for seed := 0; seed < n; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		src := randprog.Generate(r, randprog.Config{Processes: 2, MaxStmts: 5})
+
+		naive, _, err := mgenv.ComposeSource(src, domain)
+		if err != nil {
+			t.Fatalf("seed %d: compose: %v\n%s", seed, err, src)
+		}
+		opt := explore.Options{MaxDepth: maxDepth, MaxStates: maxStates, MaxIncidents: samples, NoPOR: true, NoSleep: true}
+		openRep, err := explore.Explore(naive, opt)
+		if err != nil {
+			t.Fatalf("seed %d: explore naive: %v\n%s", seed, err, src)
+		}
+		if openRep.Truncated {
+			continue
+		}
+		closedUnit, _, err := core.CloseSource(src)
+		if err != nil {
+			t.Fatalf("seed %d: close: %v\n%s", seed, err, src)
+		}
+		closedRep, err := explore.Explore(closedUnit, opt)
+		if err != nil {
+			t.Fatalf("seed %d: explore closed: %v\n%s", seed, err, src)
+		}
+		checked++
+		if openRep.Deadlocks > 0 || openRep.Violations > 0 {
+			incidents++
+		}
+		if openRep.Deadlocks > 0 && closedRep.Deadlocks == 0 && !closedRep.Truncated {
+			t.Errorf("seed %d: S × E_S deadlocks (%d paths) but S' never does\n%s", seed, openRep.Deadlocks, src)
+		}
+		if closedRep.Truncated || len(closedRep.Samples) >= samples {
+			continue
+		}
+		got := violations(closedRep)
+		for msg := range violations(openRep) {
+			if !got[msg] {
+				t.Errorf("seed %d: S × E_S violates %s but S' never does\n%s", seed, msg, src)
+			}
+		}
+	}
+	t.Logf("%d/%d seeds complete, %d with incidents", checked, n, incidents)
+	if checked < n/3 || incidents == 0 {
+		t.Errorf("only %d/%d seeds complete, %d with incidents; generator or bounds too tight", checked, n, incidents)
 	}
 }
 

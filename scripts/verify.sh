@@ -5,8 +5,9 @@
 # observability instruments all of them share), an explicit race-mode
 # pass of the three-way engine differential (bytecode vs slots vs ref
 # must stay byte-identical even under the race scheduler's timings),
-# and a short fuzz smoke over the front end, the checkpoint decoder,
-# and the bytecode/slots lockstep oracle (5s per target).
+# and a short fuzz smoke over the front end, the closing pipeline, the
+# checkpoint decoder, and the bytecode/slots lockstep oracle (5s per
+# target).
 # -count=1 defeats the test cache: a verification run must actually run.
 set -eux
 
@@ -48,13 +49,15 @@ go test -count=1 -timeout=10m -run 'TestDaemonSmoke|TestDaemonDistJob' ./cmd/ver
 
 go test -fuzz=FuzzLexer -fuzztime=5s ./internal/lexer/
 go test -fuzz=FuzzParser -fuzztime=5s ./internal/parser/
+go test -fuzz=FuzzClose -fuzztime=5s ./internal/core/
 go test -fuzz=FuzzCheckpointDecode -fuzztime=5s ./internal/explore/
 go test -fuzz=FuzzBytecodeLockstep -fuzztime=5s ./internal/interp/
 go test -fuzz=FuzzJobRequest -fuzztime=5s ./internal/jobs/
 go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
 
-# Bench smoke: one iteration of the interpreter and snapshot-vs-replay
-# benchmarks (catches bit-rot in the perf harness without paying for a
-# real measurement run), plus a syntax check of the bench driver.
-go test -run '^$' -bench 'BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkLiveness' -benchtime=1x .
+# Bench smoke: one iteration of the interpreter, snapshot-vs-replay,
+# liveness, analysis and closing-scaling benchmarks (catches bit-rot in
+# the perf harness without paying for a real measurement run), plus a
+# syntax check of the bench driver.
+go test -run '^$' -bench 'BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkLiveness|BenchmarkAnalyze|BenchmarkClosingScaling' -benchtime=1x .
 sh -n scripts/bench.sh
