@@ -20,6 +20,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,18 +32,36 @@ import (
 	"reclose/internal/interp"
 )
 
-var partition = flag.Bool("partition", false, "partition comparison-only env inputs before closing")
-
 func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: simulate [flags] file.mc (use - for stdin source; commands on stdin afterwards)\n")
-		flag.PrintDefaults()
+	os.Exit(realMain(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// realMain runs the command with the given arguments, reading commands
+// from stdin, and returns the process exit code: 0 on quit, end of
+// input or -h, 1 on error, 2 on bad usage.
+func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	partition := fs.Bool("partition", false, "partition comparison-only env inputs before closing")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: simulate [flags] file.mc (commands on stdin)\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "simulate: %v\n", err)
-		os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	if err := run(fs.Arg(0), *partition, stdin, stdout); err != nil {
+		fmt.Fprintf(stderr, "simulate: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
 type session struct {
@@ -66,12 +85,8 @@ func (s *session) choose(bound int) (int, bool) {
 	return 0, true
 }
 
-func run() error {
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	srcBytes, err := os.ReadFile(flag.Arg(0))
+func run(path string, partition bool, stdin io.Reader, stdout io.Writer) error {
+	srcBytes, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
@@ -81,14 +96,14 @@ func run() error {
 		return err
 	}
 	if unit.IsOpen() {
-		if *partition {
+		if partition {
 			core.Partition(unit)
 		}
 		closed, st, err := core.Close(unit)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("closed automatically: %s\n", st)
+		fmt.Fprintf(stdout, "closed automatically: %s\n", st)
 		unit = closed
 	}
 
@@ -96,7 +111,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	s := &session{sys: sys, out: os.Stdout}
+	s := &session{sys: sys, out: stdout}
 	chooser := interp.ChooserFunc(s.choose)
 
 	if out := sys.Init(chooser); out != nil {
@@ -104,7 +119,7 @@ func run() error {
 	}
 	s.prompt()
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(stdin)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -120,19 +135,19 @@ func run() error {
 			if out := sys.Init(chooser); out != nil {
 				return fmt.Errorf("initialization: %s", out)
 			}
-			fmt.Println("reset to the initial state")
+			fmt.Fprintln(stdout, "reset to the initial state")
 		case strings.HasPrefix(line, "t "):
 			k, err := strconv.Atoi(strings.TrimSpace(line[2:]))
 			if err != nil || k < 0 {
-				fmt.Println("usage: t <non-negative outcome>")
+				fmt.Fprintln(stdout, "usage: t <non-negative outcome>")
 				break
 			}
 			s.tossQueue = append(s.tossQueue, k)
-			fmt.Printf("preselected toss outcomes: %v\n", s.tossQueue)
+			fmt.Fprintf(stdout, "preselected toss outcomes: %v\n", s.tossQueue)
 		default:
 			n, err := strconv.Atoi(line)
 			if err != nil {
-				fmt.Println("commands: <n> | t <k> | s | r | q")
+				fmt.Fprintln(stdout, "commands: <n> | t <k> | s | r | q")
 				break
 			}
 			s.step(n, chooser)
@@ -144,31 +159,31 @@ func run() error {
 
 func (s *session) step(n int, chooser interp.Chooser) {
 	if n < 0 || n >= len(s.sys.Procs) {
-		fmt.Printf("no process %d\n", n)
+		fmt.Fprintf(s.out, "no process %d\n", n)
 		return
 	}
 	if !s.sys.Enabled(n) {
-		fmt.Printf("P%d is not enabled\n", n)
+		fmt.Fprintf(s.out, "P%d is not enabled\n", n)
 		return
 	}
 	ev, out := s.sys.Step(n, chooser)
-	fmt.Printf("  executed %s\n", ev)
+	fmt.Fprintf(s.out, "  executed %s\n", ev)
 	if out != nil {
-		fmt.Printf("  !! %s\n", out)
+		fmt.Fprintf(s.out, "  !! %s\n", out)
 	}
 }
 
 func (s *session) prompt() {
 	switch {
 	case s.sys.AllTerminated():
-		fmt.Println("-- all processes terminated ('r' to reset, 'q' to quit) --")
+		fmt.Fprintln(s.out, "-- all processes terminated ('r' to reset, 'q' to quit) --")
 	case s.sys.Deadlocked():
-		fmt.Println("-- DEADLOCK ('r' to reset, 'q' to quit) --")
+		fmt.Fprintln(s.out, "-- DEADLOCK ('r' to reset, 'q' to quit) --")
 	default:
-		fmt.Println("enabled transitions:")
+		fmt.Fprintln(s.out, "enabled transitions:")
 		for i, p := range s.sys.Procs {
 			if p.Status() != interp.Running {
-				fmt.Printf("  P%d (%s): terminated\n", i, p.TopProc)
+				fmt.Fprintf(s.out, "  P%d (%s): terminated\n", i, p.TopProc)
 				continue
 			}
 			op, obj, _ := p.PendingOp()
@@ -176,12 +191,12 @@ func (s *session) prompt() {
 			if !s.sys.Enabled(i) {
 				state = "blocked"
 			}
-			fmt.Printf("  P%d (%s): %s(%s) [%s]\n", i, p.TopProc, op, obj, state)
+			fmt.Fprintf(s.out, "  P%d (%s): %s(%s) [%s]\n", i, p.TopProc, op, obj, state)
 		}
 	}
-	fmt.Print("> ")
+	fmt.Fprint(s.out, "> ")
 }
 
 func (s *session) showState() {
-	fmt.Println(strings.ReplaceAll(s.sys.Fingerprint(), "|", "\n  "))
+	fmt.Fprintln(s.out, strings.ReplaceAll(s.sys.Fingerprint(), "|", "\n  "))
 }

@@ -72,7 +72,7 @@ type cli struct {
 	fs             *flag.FlagSet
 	stdout, stderr io.Writer
 
-	engine      string
+	engine      interp.EngineKind
 	depth       int
 	maxStates   int64
 	naive       int
@@ -116,7 +116,10 @@ func newCLI(stdout, stderr io.Writer) *cli {
 		fmt.Fprintf(stderr, "usage: verisoft [flags] file.mc (use - for stdin)\n")
 		fs.PrintDefaults()
 	}
-	fs.StringVar(&c.engine, "engine", "bytecode", "interpreter tier: bytecode (flat bytecode + incremental hashing), slots (closure-compiled), or ref (reference oracle)")
+	fs.Func("engine", "interpreter: bytecode (the default: flat bytecode + incremental hashing) or ref (reference oracle)", func(s string) (err error) {
+		c.engine, err = interp.ParseEngine(s)
+		return err
+	})
 	fs.IntVar(&c.depth, "depth", 0, "depth bound on explored paths (0 = default 1e6)")
 	fs.Int64Var(&c.maxStates, "max-states", 0, "abort after visiting this many global states (0 = unlimited)")
 	fs.IntVar(&c.naive, "naive", 0, "close naively with an explicit most general environment over domain [0,D) instead of transforming")
@@ -188,10 +191,6 @@ func (c *cli) run() (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	engine, err := interp.ParseEngine(c.engine)
-	if err != nil {
-		return 1, err
-	}
 	por, err := explore.ParsePOR(c.por)
 	if err != nil {
 		return 1, err
@@ -220,7 +219,7 @@ func (c *cli) run() (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	fmt.Fprintf(c.stdout, "prepared system: %s (engine %s)\n", how, engine)
+	fmt.Fprintf(c.stdout, "prepared system: %s (engine %s)\n", how, c.engine)
 
 	if c.pprofAddr != "" {
 		// Opt-in profiling listener; failures are reported but never
@@ -247,7 +246,7 @@ func (c *cli) run() (int, error) {
 	}
 
 	opt := explore.Options{
-		Engine:          engine,
+		Engine:          c.engine,
 		MaxDepth:        c.depth,
 		MaxStates:       c.maxStates,
 		NoPOR:           c.noPOR,

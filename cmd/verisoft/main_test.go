@@ -163,8 +163,9 @@ func TestCLIParallelSummary(t *testing.T) {
 	}
 }
 
-// TestCLIUsageErrors pins the CLI error contract: bad flags and a
-// missing operand exit 2, an unreadable input exits 1.
+// TestCLIUsageErrors pins the CLI error contract: bad flags — including
+// an -engine value naming no interpreter, such as the removed "slots"
+// tier — and a missing operand exit 2, an unreadable input exits 1.
 func TestCLIUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := realMain(nil, &out, &errb); code != 2 {
@@ -172,6 +173,15 @@ func TestCLIUsageErrors(t *testing.T) {
 	}
 	if code := realMain([]string{"-no-such-flag"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag: exit = %d, want 2", code)
+	}
+	for _, eng := range []string{"slots", "bogus"} {
+		errb.Reset()
+		if code := realMain([]string{"-engine", eng, "/nonexistent/prog.mc"}, &out, &errb); code != 2 {
+			t.Errorf("-engine %s: exit = %d, want 2", eng, code)
+		}
+		if msg := errb.String(); !strings.Contains(msg, "unknown engine") || !strings.Contains(msg, "usage: verisoft") {
+			t.Errorf("-engine %s: stderr lacks the engine error and usage:\n%s", eng, msg)
+		}
 	}
 	if code := realMain([]string{"/nonexistent/prog.mc"}, &out, &errb); code != 1 {
 		t.Errorf("missing file: exit = %d, want 1", code)

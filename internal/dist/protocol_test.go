@@ -152,7 +152,7 @@ func FuzzDistProtocol(f *testing.F) {
 func TestOptionsRoundTrip(t *testing.T) {
 	cases := []explore.Options{
 		{},
-		{Engine: interp.EngineSlots, MaxDepth: 123, NoSleep: true},
+		{Engine: interp.EngineRef, MaxDepth: 123, NoSleep: true},
 		{POR: explore.PORDynamic, Search: explore.SearchPriority, MaxIncidents: 7},
 		{NoPOR: true, StateCache: true, CacheShards: 8, MaxCacheBytes: 1 << 20},
 		{SnapshotSpill: true, SpillDepth: 5, Workers: 3, StopOnViolation: true},
@@ -177,8 +177,12 @@ func TestOptionsRoundTrip(t *testing.T) {
 			t.Errorf("case %d: options drifted across the wire:\n sent %+v\n back %+v", i, w, again)
 		}
 	}
-	if _, err := DecodeOptions(WireOptions{Engine: "valves"}); err == nil {
-		t.Errorf("DecodeOptions accepted an unknown engine")
+	// "slots" names an interpreter that no longer exists; a frame from
+	// an older coordinator must be refused, not silently run on another.
+	for _, eng := range []string{"valves", "slots"} {
+		if _, err := DecodeOptions(WireOptions{Engine: eng}); err == nil {
+			t.Errorf("DecodeOptions accepted unknown engine %q", eng)
+		}
 	}
 	w := EncodeOptions(explore.Options{Search: explore.SearchPriority}, []string{"ch"})
 	got, err := DecodeOptions(w)

@@ -584,8 +584,8 @@ func (e *engine) runPath() {
 				// still the byte-exact key compare inside the cache; the
 				// hash only picks the shard and bucket, so it must merely
 				// be a pure function of the key bytes (the engines'
-				// hash/fingerprint agreement is pinned by the three-way
-				// differential oracle).
+				// hash/fingerprint agreement is pinned by the bytecode
+				// vs reference differential oracle).
 				h := e.sys.StateHash()
 				if len(e.fpBuf) > fpLen {
 					h = interp.Mix64(h, statecache.FNV1a(e.fpBuf[fpLen:]))

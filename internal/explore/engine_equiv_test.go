@@ -30,7 +30,7 @@ func reportDigest(rep *Report) string {
 }
 
 // TestEngineEquivalence is the cross-engine contract of the bytecode
-// tier: over engines {bytecode, slots, ref} × workers {0, 2, 4} ×
+// engine: over engines {bytecode, ref} × workers {0, 2, 4} ×
 // SnapshotSpill × StateCache, the merged reports are byte-identical
 // per configuration (full digest where the configuration is
 // deterministic; the schedule-independent digest for parallel cached
@@ -38,7 +38,7 @@ func reportDigest(rep *Report) string {
 // with arrival order — engines must still agree on every counter and
 // the incident multiset).
 func TestEngineEquivalence(t *testing.T) {
-	engines := []interp.EngineKind{interp.EngineBytecode, interp.EngineSlots, interp.EngineRef}
+	engines := []interp.EngineKind{interp.EngineBytecode, interp.EngineRef}
 	cases := map[string]string{
 		"pipeline-2-2":   progs.Pipeline(2, 2),
 		"philosophers-3": progs.Philosophers(3),
@@ -92,8 +92,9 @@ func TestEngineEquivalence(t *testing.T) {
 // TestEngineHashMetrics checks the incremental-hash instrumentation: a
 // cached bytecode search answers every StateHash query from the rolling
 // hash (no full recomputation on the hot path), dispatches a nonzero
-// instruction count, and records the one-time bytecode compile cost;
-// the slots engine answers the same queries by full walks.
+// instruction count, and records the one-time bytecode compile cost.
+// The non-incremental path (full walks counted as interp.hash.full) is
+// checked on the System directly, in package interp.
 func TestEngineHashMetrics(t *testing.T) {
 	closed := mustClose(t, progs.Pipeline(2, 2))
 
@@ -121,19 +122,5 @@ func TestEngineHashMetrics(t *testing.T) {
 	}
 	if got := reg.Label("engine"); got != "bytecode" {
 		t.Errorf("registry engine label = %q, want %q", got, "bytecode")
-	}
-
-	reg = obs.New()
-	if _, err := Explore(closed, Options{Engine: interp.EngineSlots, StateCache: true, Obs: reg}); err != nil {
-		t.Fatalf("slots Explore: %v", err)
-	}
-	if got := reg.Counter(MetricInterpHashIncr).Load(); got != 0 {
-		t.Errorf("slots run claims %d incremental hash answers", got)
-	}
-	if got := reg.Counter(MetricInterpHashFull).Load(); got == 0 {
-		t.Error("cached slots run performed no full hash walks")
-	}
-	if got := reg.Label("engine"); got != "slots" {
-		t.Errorf("registry engine label = %q, want %q", got, "slots")
 	}
 }

@@ -51,12 +51,10 @@ import (
 
 // Options configure a search.
 type Options struct {
-	// Engine selects the interpreter tier executing transitions: the
-	// zero value is interp.EngineBytecode (flat bytecode with
-	// incremental state hashing, the fast default); EngineSlots and
-	// EngineRef run the closure-compiled and reference interpreters,
-	// kept as differential oracles and ablation baselines. All three
-	// produce byte-identical reports.
+	// Engine selects the interpreter executing transitions: the zero
+	// value is interp.EngineBytecode (flat bytecode with incremental
+	// state hashing); EngineRef runs the reference interpreter, kept as
+	// the differential oracle. Both produce byte-identical reports.
 	Engine interp.EngineKind
 	// MaxDepth bounds the number of transitions along one path; 0 means
 	// the default (1,000,000).
@@ -732,10 +730,10 @@ func runSequential(ctx context.Context, u *cfg.Unit, opt Options, restored *rest
 }
 
 // newMachine instantiates one machine of the configured engine over the
-// shared resolution and, on the bytecode tier, switches on incremental
+// shared resolution and, on the bytecode engine, switches on incremental
 // state hashing when the search will query StateHash for cache routing
-// (StateCache on, no test hash override). The other tiers answer
-// StateHash by a full recomputation of the same function, so routing —
+// (StateCache on, no test hash override). The reference engine answers
+// StateHash by a full computation of the same function, so routing —
 // and with it eviction behavior and merged reports — is identical
 // across engines.
 func newMachine(res *interp.Resolution, opt Options) (interp.Machine, error) {
@@ -744,7 +742,7 @@ func newMachine(res *interp.Resolution, opt Options) (interp.Machine, error) {
 		return nil, err
 	}
 	if (opt.StateCache || opt.Liveness) && opt.testCacheHash == nil {
-		if s, ok := m.(*interp.System); ok && s.Engine() == interp.EngineBytecode {
+		if s, ok := m.(*interp.System); ok {
 			s.SetStateHashing(true)
 		}
 	}

@@ -186,10 +186,10 @@ func newExploreMetrics(reg *obs.Registry) *exploreMetrics {
 	}
 }
 
-// noteEngine publishes which interpreter tier the search runs on: the
+// noteEngine publishes which interpreter the search runs on: the
 // registry's "engine" label (carried into the metrics JSON), and — on
-// the bytecode tier — the one-time compile cost gauge. Called after the
-// machines are built, so the lazily compiled module's time is visible.
+// the bytecode engine — the one-time compile cost gauge Resolve
+// recorded.
 func (m *exploreMetrics) noteEngine(opt Options, res *interp.Resolution) {
 	if !m.on {
 		return

@@ -7,38 +7,44 @@ import (
 )
 
 // This file is the bytecode dispatch loop. It executes the flat
-// instruction array compiled in bytecode.go against the same state
-// layout the slot engine uses (Proc, frame, Cell), so Fork,
-// fingerprinting, Enabled, and the visible-operation machinery in
-// system.go are shared verbatim between the two engines.
+// instruction array compiled in bytecode.go against the Proc, frame
+// and Cell state that Fork, fingerprinting, Enabled, and the
+// visible-operation machinery in system.go read.
 //
-// The loop runs in two modes sharing one switch: bcAdvance executes a
+// The loop runs in two modes sharing one switch: advance executes a
 // transition's invisible suffix (entered at the current node's block,
 // stopped by opVisible / opReturn / opExit), and runFragment evaluates
 // one visible operand (entered at a fragment pc, stopped by opVisEnd).
 // Ops that only occur in one mode are simply never reached in the
 // other.
 
-// bcAdvance is the bytecode twin of advance: it executes invisible
-// operations of p until the next visible operation or termination.
-func (s *System) bcAdvance(p *Proc, ch Chooser) (out *Outcome) {
+// advance executes invisible operations of p until the process reaches
+// its next visible operation or terminates. It implements the invisible
+// suffix of a transition.
+func (s *System) advance(p *Proc, ch Chooser) (out *Outcome) {
 	defer catchOutcome(p.Index, &out)
 	defer s.flushDispatch()
 	if p.status != Running {
 		return nil
 	}
 	top := p.stack[len(p.stack)-1]
-	_, out = s.bcLoop(p, ch, top.code.bc.blocks[p.cur.ID])
+	_, out = s.bcLoop(p, ch, top.code.blocks[p.cur.ID])
 	return out
 }
 
 // runFragment evaluates a visible-operand fragment and returns the
-// value left in the opVisEnd register. The caller must park an
-// incoming value (recv/vread destination stores) in register 0 first.
-// Traps and needToss propagate as panics, caught by execVisible.
+// value left in the opVisEnd register. Traps and needToss propagate as
+// panics, caught by execVisible.
 func (s *System) runFragment(p *Proc, pc int32, ch Chooser) Value {
 	v, _ := s.bcLoop(p, ch, pc)
 	return v
+}
+
+// storeFragment stores v into a recv/vread destination operand by
+// running its fragment, which by convention reads v from register 0.
+func (s *System) storeFragment(p *Proc, pc int32, ch Chooser, v Value) {
+	s.regs[0] = v
+	s.runFragment(p, pc, ch)
 }
 
 // flushDispatch moves the locally batched dispatch count into the
@@ -55,7 +61,7 @@ func (s *System) flushDispatch() {
 // everything abnormal panics with trap/needToss, converted to an
 // Outcome by the caller's catchOutcome.
 func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
-	mod := s.bc
+	mod := s.res.mod
 	ins := mod.ins
 	regs := s.regs
 	top := p.stack[len(p.stack)-1]
@@ -68,7 +74,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 		switch i.Op {
 		case opStep:
 			// One block per node: entering a block is one iteration of
-			// the closure advance loop, so the divergence budget is
+			// the reference advance loop, so the divergence budget is
 			// charged here, before the node's code runs.
 			n := top.code.g.Nodes[i.A]
 			p.cur = n
@@ -122,7 +128,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 
 		case opCallCheck:
 			// Depth check and frame metric precede argument evaluation,
-			// matching enterCall's trap order.
+			// matching the reference enterCall's trap order.
 			site := &mod.sites[i.A]
 			if len(p.stack) >= maxCallDepth {
 				trapf("call stack overflow in %s", site.callee.name)
@@ -142,7 +148,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 				s.foldFrameIn(p, len(p.stack)-1, nf)
 			}
 			top = nf
-			pc = site.callee.bc.entry
+			pc = site.callee.entry
 
 		case opReturn:
 			if len(p.stack) == 1 {
@@ -162,7 +168,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 				s.foldFrameOut(f)
 			}
 			if pc < 0 {
-				// The closure engine's fell-off check fires on the frame
+				// The reference's fell-off check fires on the frame
 				// captured at iteration start — the callee after a pop.
 				trapf("control fell off the graph (proc %s)", f.code.name)
 			}
@@ -178,9 +184,6 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 
 		case opFellOff:
 			trapf("control fell off the graph (proc %s)", top.code.name)
-
-		case opFail:
-			top.code.nodes[i.A].fail()
 
 		case opConst:
 			regs[i.A] = mod.consts[i.B]

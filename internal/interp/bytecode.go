@@ -1,27 +1,26 @@
 package interp
 
 import (
+	"fmt"
 	"sort"
-	"time"
 
 	"reclose/internal/ast"
 	"reclose/internal/cfg"
+	"reclose/internal/sem"
 	"reclose/internal/token"
 )
 
-// This file implements the bytecode tier of the interpreter: the
-// one-time compilation of a Resolution's per-node programs into one
-// flat []Instr array for the whole unit, executed by the
-// register-addressed dispatch loop in bcexec.go. The slot engine
-// (closure-per-node, resolve.go) and the reference interpreter
-// (refsys.go) are kept as differential oracles; all three must agree on
-// every observable, including the byte-exact trap messages, which is
-// why the compiler mirrors the evaluation and check order of the
-// closures instruction for instruction.
+// This file lowers a resolved unit straight from its CFGs to one flat
+// []Instr array for the whole unit, executed by the register-addressed
+// dispatch loop in bcexec.go. The reference interpreter (refsys.go) is
+// kept as the differential oracle; the two must agree on every
+// observable, including the byte-exact trap messages, which is why the
+// compiler follows the reference's evaluation and check order
+// instruction for instruction.
 //
 // Layout: every CFG node becomes one basic block starting with opStep
 // (which moves the process's control point and charges the divergence
-// budget exactly like one iteration of the closure advance loop).
+// budget exactly like one iteration of the reference advance loop).
 // Expressions compile with a stack discipline — expr(e, dst) leaves the
 // value in register dst and may scribble on registers above dst — so a
 // statement never needs more than a handful of registers and one
@@ -48,7 +47,6 @@ const (
 	opReturn    // pop frame / terminate at the top frame
 	opExit      // terminate the process
 	opFellOff   // control fell off the graph (nil successor)
-	opFail      // A=node: raise the node's compile-detected failure
 
 	// Expressions (A=dst unless noted).
 	opConst     // B=const index
@@ -73,7 +71,7 @@ const (
 	opVarZero   // A=slot: plain var declaration
 
 	// Traps and fragment ends.
-	opTrapMsg   // A=message index: unconditional trap
+	opTrapMsg   // A=message index: unconditional trap (also a node's compile-detected failure)
 	opTrapUnary // D=operator: "bad unary operator %s"
 	opVisEnd    // A=result reg: end of a visible-operand fragment
 )
@@ -98,21 +96,6 @@ type bcTossTable struct {
 	targets []int32 // indexed by outcome; -1 = no matching arc
 }
 
-// bcVisFrag holds the fragment entry points of a visible operation's
-// operands; -1 when the operand does not exist.
-type bcVisFrag struct {
-	argPC, dstPC int32
-}
-
-// bcProc is the compiled form of one procedure: block entry points into
-// the module-wide instruction array.
-type bcProc struct {
-	code   *procCode
-	entry  int32
-	blocks []int32     // node ID -> block pc
-	vis    []bcVisFrag // node ID -> visible operand fragments
-}
-
 // bcModule is the compiled bytecode of a whole unit: one flat
 // instruction array plus the constant/name/call-site side tables shared
 // by every procedure.
@@ -125,40 +108,30 @@ type bcModule struct {
 	maxRegs int
 }
 
-// ensureBytecode compiles the resolution's bytecode module on first
-// use. The module is immutable after compilation and shared by every
-// bytecode System built over the resolution, exactly like the closure
-// programs.
-func (r *Resolution) ensureBytecode() *bcModule {
-	r.bcOnce.Do(func() {
-		start := time.Now()
-		r.bcMod = compileModule(r)
-		r.bcCompileNanos = time.Since(start).Nanoseconds()
-	})
-	return r.bcMod
-}
-
-// bcPatch is a jump operand awaiting the pc of a node's block.
+// bcPatch is a forward reference awaiting the pc of a node's block:
+// an instruction operand (field 'A', 'B' or 'C' of instruction at), a
+// toss table holding node IDs ('T', table at), or a call site's return
+// pc ('S', site at).
 type bcPatch struct {
-	at    int32 // instruction index
-	field uint8 // 'A', 'B' or 'C'
+	at    int32
+	field uint8
 	node  int
 }
 
 type bcCompiler struct {
+	r       *Resolution
 	mod     *bcModule
 	nameIdx map[string]int32
 
 	// Per-procedure state.
-	pc        *procCode
-	bp        *bcProc
-	patches   []bcPatch
-	tossPatch []*cfg.Node // parallel to the tables emitted for this proc
+	pc      *procCode
+	patches []bcPatch
 }
 
 func compileModule(r *Resolution) *bcModule {
 	c := &bcCompiler{
-		mod:     &bcModule{},
+		r:       r,
+		mod:     &bcModule{maxRegs: 1}, // fragment convention: register 0 always exists
 		nameIdx: make(map[string]int32),
 	}
 	// Deterministic proc order (map iteration order must not leak into
@@ -176,43 +149,34 @@ func compileModule(r *Resolution) *bcModule {
 }
 
 func (c *bcCompiler) compileProc(pc *procCode) {
-	bp := &bcProc{
-		code:   pc,
-		blocks: make([]int32, len(pc.g.Nodes)),
-		vis:    make([]bcVisFrag, len(pc.g.Nodes)),
-	}
-	c.pc, c.bp = pc, bp
+	pc.blocks = make([]int32, len(pc.g.Nodes))
+	pc.vis = make([]*visOp, len(pc.g.Nodes))
+	c.pc = pc
 	c.patches = c.patches[:0]
-	for i := range bp.vis {
-		bp.vis[i] = bcVisFrag{argPC: -1, dstPC: -1}
-	}
 	for _, n := range pc.g.Nodes {
-		bp.blocks[n.ID] = c.here()
+		pc.blocks[n.ID] = c.here()
 		c.compileNode(n)
 	}
-	bp.entry = bp.blocks[pc.g.Entry.ID]
+	pc.entry = pc.blocks[pc.g.Entry.ID]
 	for _, p := range c.patches {
 		switch p.field {
 		case 'A':
-			c.mod.ins[p.at].A = bp.blocks[p.node]
+			c.mod.ins[p.at].A = pc.blocks[p.node]
 		case 'B':
-			c.mod.ins[p.at].B = bp.blocks[p.node]
+			c.mod.ins[p.at].B = pc.blocks[p.node]
 		case 'C':
-			c.mod.ins[p.at].C = bp.blocks[p.node]
+			c.mod.ins[p.at].C = pc.blocks[p.node]
 		case 'T':
-			// Toss tables were emitted holding node IDs; rewrite to pcs.
-			tbl := &c.mod.toss[p.node]
+			tbl := &c.mod.toss[p.at]
 			for k, t := range tbl.targets {
 				if t >= 0 {
-					tbl.targets[k] = bp.blocks[t]
+					tbl.targets[k] = pc.blocks[t]
 				}
 			}
 		case 'S':
-			// Call-site return pc: at encodes -2-siteIdx.
-			c.mod.sites[-2-p.at].retPC = bp.blocks[p.node]
+			c.mod.sites[p.at].retPC = pc.blocks[p.node]
 		}
 	}
-	pc.bc = bp
 }
 
 func (c *bcCompiler) here() int32 { return int32(len(c.mod.ins)) }
@@ -247,7 +211,7 @@ func (c *bcCompiler) note(reg int32) {
 }
 
 // jumpTo emits the transfer to a successor node, or the fell-off trap
-// when the arc is missing (the closure engine's nil-successor check).
+// when the arc is missing (the reference's nil-successor check).
 func (c *bcCompiler) jumpTo(succ *cfg.Node) {
 	if succ == nil {
 		c.emit(Instr{Op: opFellOff})
@@ -272,114 +236,145 @@ func (c *bcCompiler) branchTarget(at int32, field uint8, n *cfg.Node) {
 	c.patches = append(c.patches, bcPatch{at: at, field: field, node: n.ID})
 }
 
-func (c *bcCompiler) compileNode(n *cfg.Node) {
-	prog := &c.pc.nodes[n.ID]
-	c.emit(Instr{Op: opStep, A: int32(n.ID)})
-	if prog.fail != nil {
-		c.emit(Instr{Op: opFail, A: int32(n.ID)})
-		return
+// staticArc precomputes the reference pickArc: the successor of a
+// conditional for outcome b (tossK < 0) or of a toss switch for
+// outcome tossK, or nil when no arc matches (trapped at runtime).
+func staticArc(n *cfg.Node, b bool, tossK int) *cfg.Node {
+	for _, a := range n.Out {
+		switch a.Label.Kind {
+		case cfg.LAlways:
+			return a.To
+		case cfg.LTrue:
+			if tossK < 0 && b {
+				return a.To
+			}
+		case cfg.LFalse:
+			if tossK < 0 && !b {
+				return a.To
+			}
+		case cfg.LToss:
+			if a.Label.K == tossK {
+				return a.To
+			}
+		}
 	}
-	switch prog.kind {
+	return nil
+}
+
+func (c *bcCompiler) compileNode(n *cfg.Node) {
+	c.emit(Instr{Op: opStep, A: int32(n.ID)})
+	switch n.Kind {
 	case cfg.NStart:
-		c.jumpTo(prog.succ)
+		c.jumpTo(n.Succ())
 	case cfg.NAssign:
 		c.compileAssign(n)
-		c.jumpTo(prog.succ)
+		c.jumpTo(n.Succ())
 	case cfg.NCond:
 		c.expr(n.Cond, 0)
 		at := c.emit(Instr{Op: opBranch, A: 0, D: int32(n.ID)})
-		c.branchTarget(at, 'B', prog.onTrue)
-		c.branchTarget(at, 'C', prog.onFalse)
+		c.branchTarget(at, 'B', staticArc(n, true, -1))
+		c.branchTarget(at, 'C', staticArc(n, false, -1))
 	case cfg.NTossSwitch:
-		tbl := bcTossTable{bound: prog.tossBound}
-		if prog.tossBound >= 0 {
-			tbl.targets = make([]int32, len(prog.tossSucc))
-			for k, succ := range prog.tossSucc {
-				if succ == nil {
-					tbl.targets[k] = -1
-				} else {
-					// Toss targets patch directly: by the time the table is
-					// consulted the whole proc is laid out, but blocks for
-					// forward arcs are not known yet, so record node IDs and
-					// fix them up with the block map after the proc.
-					tbl.targets[k] = int32(succ.ID)
-				}
-			}
-		}
-		c.mod.toss = append(c.mod.toss, tbl)
-		c.tossPatchLater(len(c.mod.toss) - 1)
-		c.emit(Instr{Op: opTossJump, A: int32(len(c.mod.toss) - 1), D: int32(n.ID)})
+		c.compileToss(n)
 	case cfg.NCall:
-		if prog.vis != nil {
-			c.emit(Instr{Op: opVisible})
-			c.compileVisFrags(n, prog)
-			return
-		}
-		c.compileUserCall(n, prog)
+		c.compileCall(n)
 	case cfg.NReturn:
 		c.emit(Instr{Op: opReturn})
 	case cfg.NExit:
 		c.emit(Instr{Op: opExit})
+	default:
+		c.trapMsg(fmt.Sprintf("unknown node kind %v", n.Kind))
 	}
 }
 
-// tossPatchLater defers the node->pc fixup of a toss table to the end
-// of the proc (tables initially hold node IDs).
-func (c *bcCompiler) tossPatchLater(tableIdx int) {
-	c.patches = append(c.patches, bcPatch{at: -1, field: 'T', node: tableIdx})
+// compileToss emits a toss switch and its outcome table. A negative
+// bound traps at runtime (inside tossOutcome), like the reference, so
+// only valid bounds get targets. The table holds node IDs until the
+// proc is laid out.
+func (c *bcCompiler) compileToss(n *cfg.Node) {
+	tbl := bcTossTable{bound: n.TossBound}
+	if n.TossBound >= 0 {
+		tbl.targets = make([]int32, n.TossBound+1)
+		for k := range tbl.targets {
+			tbl.targets[k] = -1
+			if succ := staticArc(n, false, k); succ != nil {
+				tbl.targets[k] = int32(succ.ID)
+			}
+		}
+	}
+	idx := int32(len(c.mod.toss))
+	c.mod.toss = append(c.mod.toss, tbl)
+	c.patches = append(c.patches, bcPatch{at: idx, field: 'T'})
+	c.emit(Instr{Op: opTossJump, A: idx, D: int32(n.ID)})
 }
 
-func (c *bcCompiler) compileUserCall(n *cfg.Node, prog *nodeProg) {
-	call := prog.call
+// compileCall emits a call node: a visible operation, a user call, or —
+// for a call the reference rejects on reaching it — that trap.
+func (c *bcCompiler) compileCall(n *cfg.Node) {
 	cs := n.CallStmt()
-	site := bcCallSite{
-		callee:   call.callee,
+	if cs == nil {
+		c.trapMsg(fmt.Sprintf("call node n%d has no call statement", n.ID))
+		return
+	}
+	name := cs.Name.Name
+	if b, ok := sem.Builtins[name]; ok {
+		vis := c.r.newVisOp(c.pc, n, cs, b)
+		c.pc.vis[n.ID] = vis
+		c.emit(Instr{Op: opVisible})
+		c.compileVisFrag(vis, cs)
+		return
+	}
+	callee, ok := c.r.procs[name]
+	if !ok {
+		c.trapMsg(fmt.Sprintf("call to unknown procedure %s", name))
+		return
+	}
+	if len(cs.Args) != len(callee.g.Params) {
+		c.trapMsg(fmt.Sprintf("call to %s with %d args, want %d", name, len(cs.Args), len(callee.g.Params)))
+		return
+	}
+	siteIdx := int32(len(c.mod.sites))
+	c.mod.sites = append(c.mod.sites, bcCallSite{
+		callee:   callee,
 		nArgs:    int32(len(cs.Args)),
 		retPC:    -1,
 		callNode: int32(n.ID),
-	}
-	siteIdx := int32(len(c.mod.sites))
-	c.mod.sites = append(c.mod.sites, site)
+	})
 	c.emit(Instr{Op: opCallCheck, A: siteIdx})
 	for i, a := range cs.Args {
 		c.expr(a, int32(i))
 	}
 	c.emit(Instr{Op: opCall, A: siteIdx})
-	if prog.succ != nil {
-		// The return pc is the successor's block, patched like any other
-		// intra-proc jump but landing in the call-site table.
-		c.patches = append(c.patches, bcPatch{at: -2 - siteIdx, field: 'S', node: prog.succ.ID})
+	if succ := n.Succ(); succ != nil {
+		c.patches = append(c.patches, bcPatch{at: siteIdx, field: 'S', node: succ.ID})
 	}
 }
 
-// compileVisFrags emits the operand fragments of a visible operation:
+// compileVisFrag emits the operand fragment of a visible operation:
 // straight-line expression code terminated by opVisEnd, entered by
-// execVisible via the recorded pcs (never by the main dispatch loop,
-// which stops at opVisible).
-func (c *bcCompiler) compileVisFrags(n *cfg.Node, prog *nodeProg) {
-	cs := n.CallStmt()
-	vis := prog.vis
-	frag := &c.bp.vis[n.ID]
+// execVisible via vis.frag (never by the main dispatch loop, which
+// stops at opVisible).
+func (c *bcCompiler) compileVisFrag(vis *visOp, cs *ast.CallStmt) {
 	switch vis.op {
 	case opAssert:
-		frag.argPC = c.here()
+		vis.frag = c.here()
 		c.expr(cs.Args[0], 0)
-		c.emit(Instr{Op: opVisEnd, A: 0})
 	case opSend, opVwrite:
-		frag.argPC = c.here()
+		vis.frag = c.here()
 		c.expr(cs.Args[1], 0)
-		c.emit(Instr{Op: opVisEnd, A: 0})
 	case opRecv, opVread:
-		frag.dstPC = c.here()
+		vis.frag = c.here()
 		c.store(cs.Args[1])
-		c.emit(Instr{Op: opVisEnd, A: 0})
+	default:
+		return
 	}
+	c.emit(Instr{Op: opVisEnd, A: 0})
 }
 
 // store compiles an assignment target consuming the value in register
 // 0 (the fragment convention: execVisible parks the incoming value
-// there); scratch registers start at 1. Check order matches
-// compileStore's closures exactly.
+// there); scratch registers start at 1. Check order matches the
+// reference's refAssignTo exactly.
 func (c *bcCompiler) store(lhs ast.Expr) {
 	c.note(0)
 	switch lhs := lhs.(type) {
@@ -405,8 +400,8 @@ func (c *bcCompiler) trapMsg(msg string) {
 }
 
 // compileAssign compiles an NAssign node's statement. Evaluation order
-// matches the closures: the RHS first (store(ctx, rhs(ctx))), then the
-// target's own subexpressions and checks.
+// matches the reference: the RHS first, then the target's own
+// subexpressions and checks.
 func (c *bcCompiler) compileAssign(n *cfg.Node) {
 	switch st := n.Stmt.(type) {
 	case *ast.AssignStmt:

@@ -8,17 +8,18 @@ import (
 	"reclose/internal/cfg"
 	"reclose/internal/core"
 	"reclose/internal/interp"
+	"reclose/internal/obs"
 	"reclose/internal/randprog"
 )
 
-// This file holds the three-way differential oracle for the
-// interpreter tiers: the bytecode engine (with incremental state
-// hashing on), the slot-resolved closure engine, and the reference
-// string-map interpreter are driven in lockstep over the same unit and
-// must agree on every observable — enabled sets, termination/deadlock
-// predicates, events, outcomes, byte-exact state fingerprints, and the
-// canonical state hash (with the bytecode engine's incremental hash
-// additionally checked against its own full re-walk at every step).
+// This file holds the differential oracle for the interpreters: the
+// bytecode engine (with incremental state hashing on) and the reference
+// string-map interpreter, which shares no resolution or execution code
+// with it, are driven in lockstep over the same unit and must agree on
+// every observable — enabled sets, termination/deadlock predicates,
+// events, outcomes, byte-exact state fingerprints, and the canonical
+// state hash (with the bytecode engine's incremental hash additionally
+// checked against its own full re-walk at every step).
 
 // stepChooser returns deterministic toss outcomes as a function of its
 // own call count, so two independent instances replay the same sequence
@@ -52,16 +53,16 @@ func outcomeStr(o *interp.Outcome) string {
 }
 
 // engineNames labels the lockstep machines; index 0 (bytecode, with
-// incremental hashing enabled) is the baseline the others are compared
-// against.
-var engineNames = []string{"bytecode", "slots", "ref"}
+// incremental hashing enabled) is the baseline the reference is
+// compared against.
+var engineNames = []string{"bytecode", "ref"}
 
-// lockstepMachines builds one machine per engine tier over u, with
+// lockstepMachines builds one machine per engine over u, with
 // incremental state hashing enabled on the bytecode instance.
 func lockstepMachines(t *testing.T, label string, u *cfg.Unit) []interp.Machine {
 	t.Helper()
-	ms := make([]interp.Machine, 0, 3)
-	for _, k := range []interp.EngineKind{interp.EngineBytecode, interp.EngineSlots, interp.EngineRef} {
+	ms := make([]interp.Machine, 0, 2)
+	for _, k := range []interp.EngineKind{interp.EngineBytecode, interp.EngineRef} {
 		m, err := interp.NewMachine(u, k)
 		if err != nil {
 			t.Fatalf("%s: NewMachine(%v): %v", label, k, err)
@@ -72,9 +73,10 @@ func lockstepMachines(t *testing.T, label string, u *cfg.Unit) []interp.Machine 
 	return ms
 }
 
-// lockstep drives all three interpreter tiers over u with an identical
-// schedule and asserts agreement at every step.
-func lockstep(t *testing.T, label string, u *cfg.Unit, maxSteps int) {
+// lockstep drives both engines over u with an identical schedule and
+// asserts agreement at every step. It returns the outcome that ended
+// the run, or nil if the run ended without one.
+func lockstep(t *testing.T, label string, u *cfg.Unit, maxSteps int) *interp.Outcome {
 	t.Helper()
 	ms := lockstepMachines(t, label, u)
 	bc := ms[0].(*interp.System)
@@ -91,7 +93,7 @@ func lockstep(t *testing.T, label string, u *cfg.Unit, maxSteps int) {
 		}
 	}
 	if outs[0] != nil {
-		return
+		return outs[0]
 	}
 
 	for step := 0; step < maxSteps; step++ {
@@ -144,7 +146,7 @@ func lockstep(t *testing.T, label string, u *cfg.Unit, maxSteps int) {
 			}
 		}
 		if len(en0) == 0 {
-			return
+			return nil
 		}
 		pick := en0[step%len(en0)]
 		ev0, o0 := ms[0].Step(pick, chs[0])
@@ -160,9 +162,10 @@ func lockstep(t *testing.T, label string, u *cfg.Unit, maxSteps int) {
 			}
 		}
 		if o0 != nil {
-			return
+			return o0
 		}
 	}
+	return nil
 }
 
 // TestDifferentialRandomPrograms runs the lockstep oracle over closed
@@ -345,7 +348,164 @@ process main;
 	}
 }
 
-// TestForkMatchesOriginal forks mid-execution — on every engine tier —
+// TestDifferentialUndefOperands feeds undef — which closing produces
+// through env stubs and eliminated values — to every expression opcode
+// and to a branch. Undef is absorbing for operators and a trap for
+// indexing, toss bounds, dereferences, array sizes and branches; the
+// reference decides which, and the bytecode must agree value for value
+// and trap for trap.
+func TestDifferentialUndefOperands(t *testing.T) {
+	const values = `
+chan out[32];
+shared g = 0;
+proc id(x) {
+    send(out, x);
+}
+proc main() {
+    var u = undef;
+    var t = true;
+    var f = false;
+    send(out, t && u);
+    send(out, f || u);
+    send(out, f && u);
+    send(out, t || u);
+    send(out, u && t);
+    send(out, u || f);
+    send(out, -u);
+    send(out, !u);
+    send(out, u == 1);
+    send(out, 1 != u);
+    send(out, u == u);
+    send(out, u + 1);
+    send(out, 2 * u);
+    send(out, u / 0);
+    send(out, 7 % u);
+    send(out, u < 3);
+    send(out, 1 << u);
+    var a[2];
+    a[0] = u;
+    send(out, a[0]);
+    id(u);
+    vwrite(g, u);
+    var v;
+    vread(g, v);
+    send(out, v);
+    VS_assert(t && u);
+    VS_assert(!u);
+}
+process main;
+`
+	t.Run("values", func(t *testing.T) {
+		u, err := core.CompileSource(values)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		if out := lockstep(t, "values", u, 100); out != nil {
+			t.Fatalf("values: ended with %s, want a clean run", outcomeStr(out))
+		}
+	})
+	for _, tc := range []struct{ name, stmt string }{
+		{"branch-and", "if (t && u) { send(out, 1); }"},
+		{"branch-or", "if (f || u) { send(out, 1); }"},
+		{"branch-not", "if (!u) { send(out, 1); }"},
+		{"branch-eq", "if (u == 1) { send(out, 1); }"},
+		{"branch-cmp", "while (u < 3) { send(out, 1); }"},
+		{"index", "send(out, a[u]);"},
+		{"index-store", "a[u] = 1;"},
+		{"addr-elem", "var p = &a[u];"},
+		{"toss-bound", "send(out, VS_toss(u));"},
+		{"deref", "send(out, *u);"},
+		{"store-ptr", "*u = 1;"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := fmt.Sprintf(`
+chan out[4];
+proc main() {
+    var u = undef;
+    var t = true;
+    var f = false;
+    var a[2];
+    send(out, 0);
+    %s
+    send(out, 2);
+}
+process main;
+`, tc.stmt)
+			u, err := core.CompileSource(src)
+			if err != nil {
+				t.Fatalf("compile: %v\n%s", err, src)
+			}
+			if out := lockstep(t, tc.name, u, 20); out == nil || out.Kind != interp.OutTrap {
+				t.Fatalf("%s: ended with %s, want a trap", tc.name, outcomeStr(out))
+			}
+		})
+	}
+}
+
+// TestStateHashFullWalk checks the non-incremental path: a System with
+// hashing off answers every StateHash by a full walk, counted as
+// interp.hash.full, and the walk equals the rolling value a hashing
+// System reports for the same state.
+func TestStateHashFullWalk(t *testing.T) {
+	for seed := 0; seed < 20; seed++ {
+		r := rand.New(rand.NewSource(int64(500 + seed)))
+		src := randprog.Generate(r, randprog.Config{Processes: 2, Helpers: seed % 3})
+		closed, _, err := core.CloseSource(src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+		reg := obs.New()
+		walk, err := interp.NewSystem(closed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk.SetMetrics(interp.Metrics{HashIncr: reg.Counter("walk.incr"), HashFull: reg.Counter("walk.full")})
+		roll, err := interp.NewSystem(closed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roll.SetMetrics(interp.Metrics{HashIncr: reg.Counter("roll.incr"), HashFull: reg.Counter("roll.full")})
+		roll.SetStateHashing(true)
+		chW, chR := &stepChooser{}, &stepChooser{}
+		if walk.Init(chW) != nil || roll.Init(chR) != nil {
+			continue
+		}
+		queries := int64(0)
+		for step := 0; step < 200; step++ {
+			if hw, hr := walk.StateHash(), roll.StateHash(); hw != hr {
+				t.Fatalf("seed %d step %d: full walk %#x != rolling %#x", seed, step, hw, hr)
+			}
+			queries++
+			en := walk.AppendEnabled(nil)
+			if len(en) == 0 {
+				break
+			}
+			pick := en[step%len(en)]
+			_, oW := walk.Step(pick, chW)
+			_, oR := roll.Step(pick, chR)
+			if (oW == nil) != (oR == nil) {
+				t.Fatalf("seed %d step %d: outcomes differ: %s vs %s", seed, step, outcomeStr(oW), outcomeStr(oR))
+			}
+			if oW != nil {
+				break
+			}
+		}
+		if got := reg.Counter("walk.full").Load(); got != queries {
+			t.Errorf("seed %d: hashing-off System counted %d full walks for %d queries", seed, got, queries)
+		}
+		if got := reg.Counter("walk.incr").Load(); got != 0 {
+			t.Errorf("seed %d: hashing-off System claims %d incremental answers", seed, got)
+		}
+		if got := reg.Counter("roll.full").Load(); got != 0 {
+			t.Errorf("seed %d: hashing System walked the state %d times", seed, got)
+		}
+		if got := reg.Counter("roll.incr").Load(); got != queries {
+			t.Errorf("seed %d: hashing System answered %d of %d queries incrementally", seed, got, queries)
+		}
+	}
+}
+
+// TestForkMatchesOriginal forks mid-execution — on both engines —
 // and checks that the clone renders the same fingerprint and state
 // hash and then behaves identically to the original under the same
 // schedule. The bytecode instance runs with incremental hashing on, so
@@ -355,7 +515,7 @@ func TestForkMatchesOriginal(t *testing.T) {
 	if testing.Short() {
 		n = 15
 	}
-	engines := []interp.EngineKind{interp.EngineBytecode, interp.EngineSlots, interp.EngineRef}
+	engines := []interp.EngineKind{interp.EngineBytecode, interp.EngineRef}
 	for seed := 0; seed < n; seed++ {
 		r := rand.New(rand.NewSource(int64(1000 + seed)))
 		src := randprog.Generate(r, randprog.Config{Processes: 2, Helpers: seed % 2})

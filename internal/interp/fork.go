@@ -21,15 +21,11 @@ func (s *System) Fork() *System {
 	ns := &System{
 		Unit:         s.Unit,
 		res:          s.res,
-		eng:          s.eng,
-		bc:           s.bc, // immutable, shared like the Resolution
+		regs:         make([]Value, len(s.regs)),
 		hashOn:       s.hashOn,
 		acc:          s.acc,
 		MaxInvisible: s.MaxInvisible,
 		met:          s.met,
-	}
-	if s.regs != nil {
-		ns.regs = make([]Value, len(s.regs))
 	}
 	if s.objHash != nil {
 		ns.objHash = append([]uint64(nil), s.objHash...)

@@ -8,7 +8,7 @@ import (
 
 // FuzzBytecodeLockstep feeds arbitrary MiniC source through the full
 // pipeline (parse, check, close) and, when it compiles, drives the
-// bytecode, slot, and reference engines in lockstep — any divergence in
+// bytecode and reference engines in lockstep — any divergence in
 // events, outcomes, fingerprints, or state hashes fails the fuzz run.
 // scripts/verify.sh runs this for a short smoke period on every verify.
 func FuzzBytecodeLockstep(f *testing.F) {

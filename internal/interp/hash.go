@@ -25,11 +25,12 @@ package interp
 // later writes through stale pointers skip the accumulator, matching
 // the fingerprint, which never renders stale storage.
 //
-// The incremental path is only maintained by the bytecode engine
-// (SetStateHashing); the slot and reference engines recompute the same
-// function from scratch (RecomputeStateHash), which keeps shard
-// routing — and therefore eviction behavior and merged reports —
-// byte-identical across engines.
+// The incremental path is maintained while SetStateHashing is on;
+// otherwise System recomputes the same function from scratch
+// (RecomputeStateHash), and the reference engine computes it
+// independently (RefSystem.StateHash), which keeps shard routing — and
+// therefore eviction behavior and merged reports — byte-identical
+// across engines.
 
 const hashSeed = 0x9e3779b97f4a7c15
 
@@ -158,9 +159,8 @@ func (s *System) rehashObj(i int) {
 
 // SetStateHashing turns incremental hashing on or off. Turning it on
 // (re)builds the accumulator and object hashes from the current state;
-// only the bytecode engine maintains them afterwards, so enabling it
-// on a slot-engine System is a misuse the differential tests would
-// catch. Forked systems inherit the setting and the rolling state.
+// execution maintains them afterwards. Forked systems inherit the
+// setting and the rolling state.
 func (s *System) SetStateHashing(on bool) {
 	s.hashOn = on
 	if on {
@@ -232,7 +232,7 @@ func (s *System) StateHash() uint64 {
 
 // RecomputeStateHash computes StateHash's function by walking the full
 // state. The incremental path must agree with it exactly after every
-// visible operation — the three-way differential test checks that.
+// visible operation — the differential test checks that.
 func (s *System) RecomputeStateHash() uint64 {
 	s.met.HashFull.Inc()
 	h := uint64(hashSeed)

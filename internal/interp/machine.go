@@ -7,24 +7,21 @@ import (
 	"reclose/internal/comm"
 )
 
-// EngineKind selects one of the three interpreter tiers. The zero
-// value is the bytecode engine — the default everywhere an engine is
-// not named explicitly (explore.Options, the -engine flag).
+// EngineKind selects one of the two interpreters. The zero value is
+// the bytecode engine — the default everywhere an engine is not named
+// explicitly (explore.Options, the -engine flag).
 type EngineKind int
 
-// Engine tiers, fastest first. All three implement identical
-// observable semantics — events, outcomes, fingerprints, state hashes
-// — which the three-way differential oracle enforces; the slower tiers
-// exist as oracles and ablation baselines.
+// Engines. Both implement identical observable semantics — events,
+// outcomes, fingerprints, state hashes — which the differential oracle
+// enforces; the reference exists as that oracle.
 const (
 	// EngineBytecode executes flat per-unit bytecode (bytecode.go,
 	// bcexec.go) with incremental state hashing.
 	EngineBytecode EngineKind = iota
-	// EngineSlots executes the closure-per-node slot programs
-	// (resolve.go), the PR 3 tier.
-	EngineSlots
-	// EngineRef executes the original string-map reference
-	// interpreter (refsys.go).
+	// EngineRef executes the string-map reference interpreter
+	// (refsys.go), which shares no resolution or execution code with
+	// the bytecode engine.
 	EngineRef
 )
 
@@ -33,8 +30,6 @@ func (k EngineKind) String() string {
 	switch k {
 	case EngineBytecode:
 		return "bytecode"
-	case EngineSlots:
-		return "slots"
 	case EngineRef:
 		return "ref"
 	}
@@ -46,18 +41,16 @@ func ParseEngine(s string) (EngineKind, error) {
 	switch s {
 	case "", "bytecode":
 		return EngineBytecode, nil
-	case "slots":
-		return EngineSlots, nil
 	case "ref":
 		return EngineRef, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want bytecode, slots, or ref)", s)
+	return 0, fmt.Errorf("unknown engine %q (want bytecode or ref)", s)
 }
 
 // Machine is the executable-system interface the explorer drives: the
 // transition semantics plus the state identity operations (fingerprint
 // and hash) and deep-copy forking for snapshot-spill work units. Both
-// System (bytecode and slots engines) and RefSystem implement it.
+// System (the bytecode engine) and RefSystem implement it.
 type Machine interface {
 	// Transition semantics.
 	Init(ch Chooser) *Outcome
@@ -106,8 +99,6 @@ func NewMachine(u *cfg.Unit, k EngineKind) (Machine, error) {
 func (r *Resolution) NewMachine(k EngineKind) (Machine, error) {
 	switch k {
 	case EngineBytecode:
-		return r.NewBytecodeSystem(), nil
-	case EngineSlots:
 		return r.NewSystem(), nil
 	case EngineRef:
 		return NewRefSystem(r.unit)
@@ -115,27 +106,9 @@ func (r *Resolution) NewMachine(k EngineKind) (Machine, error) {
 	return nil, fmt.Errorf("unknown engine %v", k)
 }
 
-// NewBytecodeSystem instantiates a System executing the resolution's
-// bytecode module (compiled on first use, shared by every instance).
-func (r *Resolution) NewBytecodeSystem() *System {
-	mod := r.ensureBytecode()
-	s := r.NewSystem()
-	s.eng = EngineBytecode
-	s.bc = mod
-	n := mod.maxRegs
-	if n < 1 {
-		n = 1 // fragment convention: register 0 always exists
-	}
-	s.regs = make([]Value, n)
-	return s
-}
-
-// BytecodeCompileNanos returns the wall time spent compiling the
-// resolution's bytecode module, or 0 if it has not been compiled.
-func (r *Resolution) BytecodeCompileNanos() int64 { return r.bcCompileNanos }
-
-// Engine returns the tier this system executes.
-func (s *System) Engine() EngineKind { return s.eng }
+// BytecodeCompileNanos returns the wall time Resolve spent lowering the
+// unit to bytecode.
+func (r *Resolution) BytecodeCompileNanos() int64 { return r.compileNanos }
 
 // System's Machine adapters.
 

@@ -36,8 +36,8 @@ type RefSystem struct {
 
 // refGraphInfo caches per-procedure data the reference interpreter
 // needs: the graph plus its slot table, which fixes the canonical
-// variable order of fingerprints (shared with the slot-resolved
-// interpreter, so both render byte-identical state).
+// variable order of fingerprints (shared with the bytecode engine, so
+// both render byte-identical state).
 type refGraphInfo struct {
 	g     *cfg.Graph
 	slots *cfg.SlotTable

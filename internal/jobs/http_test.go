@@ -121,6 +121,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{}`,
 		`{"source":"x","priority":99}`,
 		`{"source":"x","close":"naive"}`,
+		`{"source":"x","engine":"slots"}`, // a removed interpreter
 	} {
 		resp, _ := postJob(t, srv, body)
 		if resp.StatusCode != http.StatusBadRequest {

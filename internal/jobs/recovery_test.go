@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,6 +181,53 @@ func TestRecoveryRequeuesJournaledStates(t *testing.T) {
 	}
 	if v.ID <= "j000005" {
 		t.Errorf("new job ID %s collides with journaled range", v.ID)
+	}
+}
+
+// TestRecoveryStaleEngineFailsPermanently: a record journaled by an
+// older daemon names the removed "slots" interpreter. It must not be
+// quarantined or crash the boot; it recovers, and its first attempt
+// fails it permanently — no retry, no panic — while the jobs beside it
+// still complete.
+func TestRecoveryStaleEngineFailsPermanently(t *testing.T) {
+	dir := t.TempDir()
+	jn, err := openJournal(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := progs.Philosophers(3)
+	for _, rec := range []*record{
+		{V: recordVersion, ID: "j000001", Req: Request{Source: src, Engine: "slots"}, State: StateRunning, Seq: 1},
+		{V: recordVersion, ID: "j000002", Req: Request{Source: src, Engine: "ref"}, State: StateQueued, Seq: 2},
+	} {
+		if err := jn.save(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.New()
+	m, err := Open(Config{DataDir: dir, Workers: 1, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, m)
+	got := waitState(t, m, "j000001", StateFailed)
+	if got.State != StateFailed {
+		t.Fatalf("stale-engine job ended %s, want failed", got.State)
+	}
+	if got.Attempts != 1 || got.Retries != 0 {
+		t.Errorf("attempts/retries = %d/%d, want 1/0", got.Attempts, got.Retries)
+	}
+	if !strings.Contains(got.Error, `unknown engine "slots"`) {
+		t.Errorf("error = %q, want the unknown-engine rejection", got.Error)
+	}
+	if n := reg.Counter(MetricPanics).Load(); n != 0 {
+		t.Errorf("panics = %d, want 0", n)
+	}
+	if n := reg.Counter(MetricJournalCorrupt).Load(); n != 0 {
+		t.Errorf("journal_corrupt = %d, want 0", n)
+	}
+	if v := waitState(t, m, "j000002", StateDone); v.Result == nil {
+		t.Error("ref-engine job beside the stale one produced no result")
 	}
 }
 

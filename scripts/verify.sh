@@ -3,11 +3,11 @@
 # the packages with real concurrency (the parallel exploration engine,
 # its checkpoint/resume tests, the interpreter it runs on, and the
 # observability instruments all of them share), an explicit race-mode
-# pass of the three-way engine differential (bytecode vs slots vs ref
-# must stay byte-identical even under the race scheduler's timings),
-# and a short fuzz smoke over the front end, the closing pipeline, the
-# checkpoint decoder, and the bytecode/slots lockstep oracle (5s per
-# target).
+# pass of the engine differential (bytecode vs the reference
+# interpreter must stay byte-identical even under the race scheduler's
+# timings), and a short fuzz smoke over the front end, the closing
+# pipeline, the checkpoint decoder, and the bytecode/ref lockstep
+# oracle (5s per target).
 # -count=1 defeats the test cache: a verification run must actually run.
 set -eux
 
